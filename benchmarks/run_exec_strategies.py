@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.faults import FaultModel
 from repro.localexec import LocalCluster, LocalJobConfig
-from repro.runtime import Coordinator, RuntimeConfig, chain_checksum
+from repro.runtime import RuntimeConfig, chain_checksum, run_chain
 
 STRATEGIES = ("rcmp", "optimistic", "repl2", "hybrid")
 
@@ -71,9 +71,8 @@ def run_one(strategy: str, chain: LocalJobConfig,
     model = FaultModel.parse(args.faults) if args.faults else None
     with tempfile.TemporaryDirectory(prefix="rcmp-bench-") as workdir:
         t0 = time.perf_counter()
-        with Coordinator(config, workdir, fault_model=model,
-                         fault_seed=args.fault_seed) as coord:
-            report = coord.run_chain()
+        report = run_chain(config, workdir, fault_model=model,
+                           fault_seed=args.fault_seed)
         return report, time.perf_counter() - t0
 
 

@@ -64,7 +64,7 @@ from common import (
 
 from repro.faults import FaultModel
 from repro.localexec import LocalJobConfig
-from repro.runtime import Coordinator, RuntimeConfig
+from repro.runtime import RuntimeConfig, coordinator
 from repro.workloads import cube_dependencies, shape_dependencies
 
 #: wall-clock slack for the pipelined-vs-serial comparison: on a
@@ -98,8 +98,7 @@ def run_chain(chain: LocalJobConfig, expected: str, faults: str = "",
     model = FaultModel.parse(faults) if faults else None
     with tempfile.TemporaryDirectory(prefix="rcmp-shuffle-") as workdir:
         t0 = time.perf_counter()
-        with Coordinator(config, workdir, fault_model=model) as coord:
-            report = coord.run_chain()
+        report = coordinator.run_chain(config, workdir, fault_model=model)
         wall = time.perf_counter() - t0
     if report.checksum != expected:
         raise SystemExit(f"checksum mismatch under {config_kwargs}: "

@@ -40,7 +40,7 @@ from common import (
 
 from repro.faults import FaultModel
 from repro.localexec import LocalJobConfig
-from repro.runtime import Coordinator, RuntimeConfig
+from repro.runtime import RuntimeConfig, coordinator
 
 STRATEGIES = ("rcmp", "optimistic", "repl2", "hybrid")
 FACTORS = (2, 10)
@@ -64,8 +64,7 @@ def run_chain(chain: LocalJobConfig, expected: str, faults: str,
                            **config_kwargs)
     model = FaultModel.parse(faults) if faults else None
     with tempfile.TemporaryDirectory(prefix="rcmp-straggler-") as workdir:
-        with Coordinator(config, workdir, fault_model=model) as coord:
-            report = coord.run_chain()
+        report = coordinator.run_chain(config, workdir, fault_model=model)
     if report.checksum != expected:
         raise SystemExit(f"checksum mismatch under {config_kwargs} "
                          f"faults={faults!r}: "

@@ -425,7 +425,7 @@ def _exec_process(args, chain, model, tracer):
     import tempfile
     from contextlib import nullcontext
 
-    from repro.runtime import Coordinator, RuntimeConfig
+    from repro.runtime import RuntimeConfig, run_chain
 
     try:
         kwargs = {}
@@ -451,11 +451,9 @@ def _exec_process(args, chain, model, tracer):
         workctx = (nullcontext(args.workdir) if args.workdir
                    else tempfile.TemporaryDirectory(prefix="rcmp-exec-"))
         with workctx as workdir:
-            with Coordinator(config, workdir, tracer=tracer,
-                             fault_model=model,
-                             fault_seed=args.fault_seed,
-                             fault_time_scale=args.fault_scale) as coord:
-                return coord.run_chain()
+            return run_chain(config, workdir, tracer=tracer,
+                             fault_model=model, fault_seed=args.fault_seed,
+                             fault_time_scale=args.fault_scale)
     except ValueError as exc:
         raise SystemExit(f"rcmp-repro: {exc}")
 

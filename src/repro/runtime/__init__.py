@@ -21,9 +21,12 @@ Modules:
 * :mod:`repro.runtime.transport` — pipe framing, heartbeats, and the
   pipelined TCP shuffle (persistent per-peer connections, server-side
   split filtering).
+* :mod:`repro.runtime.protocol` — the typed worker -> coordinator
+  events (commands stay plain ``"op"`` dicts).
 * :mod:`repro.runtime.worker` — the worker process main loop.
 * :mod:`repro.runtime.coordinator` — job DAG, dispatch, failure handling
-  (the shared :class:`WorkerPool` + per-chain :class:`ChainRun` split).
+  (the shared :class:`WorkerPool` + per-chain :class:`ChainRun` split,
+  and :func:`run_chain` for one chain on a private pool).
 * :mod:`repro.runtime.service` — the multi-tenant :class:`ChainService`:
   many chains queued over one shared worker pool.
 * :mod:`repro.runtime.cache` — the cross-run result cache: lineage
@@ -41,7 +44,6 @@ from repro.runtime.recovery import (
     ReduceSpec,
     adoptable_closure,
     cascade_jobs,
-    cascade_start,
     consumer_invalidations,
     effective_split_ratio,
     hybrid_reclaimable,
@@ -52,7 +54,6 @@ __all__ = [
     "CacheRegistry",
     "ChainRun",
     "ChainService",
-    "Coordinator",
     "JobGraph",
     "JobRecoveryPlan",
     "MTBFKills",
@@ -65,21 +66,21 @@ __all__ = [
     "WorkerPool",
     "adoptable_closure",
     "cascade_jobs",
-    "cascade_start",
     "chain_checksum",
     "chain_fingerprints",
     "consumer_invalidations",
     "effective_split_ratio",
     "hybrid_reclaimable",
     "plan_job_recovery",
+    "run_chain",
 ]
 
 _LAZY = {
-    "Coordinator": ("repro.runtime.coordinator", "Coordinator"),
     "WorkerPool": ("repro.runtime.coordinator", "WorkerPool"),
     "ChainRun": ("repro.runtime.coordinator", "ChainRun"),
     "RuntimeConfig": ("repro.runtime.coordinator", "RuntimeConfig"),
     "RunReport": ("repro.runtime.coordinator", "RunReport"),
+    "run_chain": ("repro.runtime.coordinator", "run_chain"),
     "ChainService": ("repro.runtime.service", "ChainService"),
     "MTBFKills": ("repro.runtime.service", "MTBFKills"),
     "CacheRegistry": ("repro.runtime.cache", "CacheRegistry"),

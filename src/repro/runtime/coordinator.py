@@ -18,8 +18,11 @@ chains (see :mod:`repro.runtime.service`):
   single-chain mode it pumps the pool directly; in service mode a
   router thread feeds it events through a queue.
 
-:class:`Coordinator` composes a private pool with one ``ChainRun`` and
-keeps the classic single-chain API.
+:func:`run_chain` runs one chain on a private pool and tears it down.
+Workers answer commands with the typed events of
+:mod:`repro.runtime.protocol`; ``ChainRun`` passes every event through
+one stale guard (epoch, chain, outstanding task key) before a per-kind
+handler table applies it.
 
 Failure path (the paper's protocol, §IV, run for real):
 
@@ -88,6 +91,19 @@ from repro.localexec.records import Record
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import shm
 from repro.runtime.faults import LiveFaultPlan
+from repro.runtime.protocol import (
+    Dropped,
+    Heartbeat,
+    JobDropped,
+    MapDone,
+    PieceDropped,
+    Ready,
+    Reclaimed,
+    ReduceDone,
+    ReplicaDone,
+    TaskError,
+    TaskFailed,
+)
 from repro.runtime.recovery import (
     STRIDE,
     JobGraph,
@@ -117,6 +133,9 @@ _REPLICATION = {"repl2": 2, "repl3": 3}
 #: hook callback: ``fn(event, **info)``; events: job-start, maps-done,
 #: reduce-dispatch, job-commit, death, recovery-start, chain-done
 Hooks = Callable[..., None]
+
+#: task commits — the progress-rate tracker's samples
+_COMMITS = (MapDone.KIND, ReduceDone.KIND, ReplicaDone.KIND)
 
 
 class NodeDeath(Exception):
@@ -336,7 +355,7 @@ class RuntimeConfig:
 
 @dataclass
 class _Link:
-    """Coordinator-side handles for one worker process."""
+    """The coordinator's handles for one worker process."""
 
     node: int
     proc: multiprocessing.Process
@@ -540,15 +559,14 @@ class WorkerPool:
                         f"{self.config.startup_timeout:g}s: "
                         f"{sorted(pending)}")
                 try:
-                    msg = self.pump(check_faults=False)
+                    evt = self.pump(check_faults=False)
                 except NodeDeath as death:
                     raise RuntimeError(f"worker {death.node} died during "
                                        f"startup") from death
-                if msg and msg[0] == "ready":
-                    _, node, port, pid = msg
-                    self._links[node].port = port
-                    self._links[node].pid = pid
-                    pending.discard(node)
+                if evt and evt.kind == Ready.KIND:
+                    self._links[evt.node].port = evt.port
+                    self._links[evt.node].pid = evt.pid
+                    pending.discard(evt.node)
         except BaseException:
             # __enter__ has not returned yet, so the context manager will
             # never call shutdown(); reap the live workers here or they
@@ -665,10 +683,10 @@ class WorkerPool:
              check_faults: bool = True) -> Optional[tuple]:
         """Receive one event; fire due fault kills; declare deaths.
 
-        Returns a non-heartbeat worker message, or None on an idle tick.
-        Pending inbox messages are always delivered before a death is
+        Returns a non-heartbeat worker event, or None on an idle tick.
+        Pending inbox events are always delivered before a death is
         declared, so commits that beat the kill are not lost.  Readiness
-        messages from respawning replacement workers are consumed here
+        events from respawning replacement workers are consumed here
         (they re-join ``alive`` without an epoch bump)."""
         if check_faults and self.faults:
             # slow events first: a plan pairing slow@t and kill@t must
@@ -694,28 +712,28 @@ class WorkerPool:
             for conn in connection_wait(list(conns), timeout=timeout):
                 node = conns[conn]
                 try:
-                    msg = conn.recv()
+                    evt = conn.recv()
                 except CHANNEL_DOWN:
                     self._links[node].closed = True
                     continue
                 self._links[node].last_seen = time.monotonic()
-                if msg[0] != "hb":
-                    if msg[0] in ("map-done", "reduce-done",
-                                  "replica-done"):
-                        if msg[2] == self.epoch:
-                            self.progress.record_commit(
-                                msg[1], time.monotonic())
-                    elif msg[0] == "task-failed" and msg[2] == self.epoch:
-                        self.progress.record_settled(msg[1])
-                    self._inbox.append(msg)
+                if evt.kind == Heartbeat.KIND:
+                    continue
+                if evt.epoch == self.epoch:
+                    if evt.kind in _COMMITS:
+                        self.progress.record_commit(evt.node,
+                                                    time.monotonic())
+                    elif evt.kind == TaskFailed.KIND:
+                        self.progress.record_settled(evt.node)
+                self._inbox.append(evt)
         else:
             time.sleep(timeout)
         if self._inbox:
-            msg = self._inbox.popleft()
-            if msg[0] == "ready" and msg[1] in self._respawning:
-                self._admit_respawned(msg)
+            evt = self._inbox.popleft()
+            if evt.kind == Ready.KIND and evt.node in self._respawning:
+                self._admit_respawned(evt)
                 return None
-            return msg
+            return evt
         dead = self._expired_nodes()
         if dead:
             raise NodeDeath(dead[0])
@@ -842,10 +860,10 @@ class WorkerPool:
         self._respawning.add(node)
         return link
 
-    def _admit_respawned(self, msg: tuple) -> None:
-        _, node, port, pid = msg
+    def _admit_respawned(self, ready: Ready) -> None:
+        node, pid = ready.node, ready.pid
         link = self._links[node]
-        link.port = port
+        link.port = ready.port
         link.pid = pid
         self._respawning.discard(node)
         self.alive = self.alive | {node}
@@ -857,6 +875,35 @@ class WorkerPool:
                 other.ports_epoch = -1
         self.tracer.instant("cascade", "node-respawned", node=node,
                             pid=pid)
+
+
+def _replicate_command(entry: PieceEntry, target: int) -> dict:
+    """Copy ``entry``'s piece from its primary holder onto ``target``."""
+    return {"op": "replicate", "job": entry.job,
+            "partition": entry.partition, "split": entry.split_index,
+            "n_splits": entry.n_splits, "source": entry.node,
+            "target": target, "source_chain": entry.chain}
+
+
+@dataclass
+class _Batch:
+    """One :meth:`ChainRun._run_tasks` call's in-flight state, shared
+    with the event handlers."""
+
+    phase: str
+    on_piece: Optional[Callable[[PieceEntry], None]]
+    on_freed: Optional[Callable[[int], None]]
+    #: task key -> (node, stamped command) still awaiting its reply
+    outstanding: dict = field(default_factory=dict)
+    dispatched_at: dict = field(default_factory=dict)
+    spans: dict = field(default_factory=dict)
+    #: task key -> fetch-failure retries so far / when the next is due
+    attempts: dict = field(default_factory=dict)
+    retry_at: dict = field(default_factory=dict)
+    #: task key -> backup node of an in-flight speculative attempt
+    backups: dict = field(default_factory=dict)
+    #: committed task walls this batch (speculation's median baseline)
+    durations: list = field(default_factory=list)
 
 
 class ChainRun:
@@ -920,10 +967,6 @@ class ChainRun:
             done += 1
         return done
 
-    @completed_jobs.setter
-    def completed_jobs(self, value: int) -> None:
-        self.done_jobs = set(range(1, value + 1))
-
     # --------------------------------------------------------- event intake
     def attach_inbox(self) -> queue.Queue:
         """Switch to service mode: events arrive on a queue fed by the
@@ -938,7 +981,7 @@ class ChainRun:
         first, matching the pump's commits-beat-the-kill ordering)."""
         self._pending_deaths.append(node)
         if self._inbox is not None:
-            self._inbox.put(("death", node))
+            self._inbox.put(None)  # wake-up only; the death is queued above
 
     def _raise_pending_death(self) -> None:
         if self._pending_deaths:
@@ -948,14 +991,12 @@ class ChainRun:
         if self._inbox is None:
             return self.pool.pump(timeout)
         try:
-            msg = self._inbox.get(timeout=timeout)
+            evt = self._inbox.get(timeout=timeout)
         except queue.Empty:
+            evt = None
+        if evt is None:
             self._raise_pending_death()
-            return None
-        if msg[0] == "death":
-            self._raise_pending_death()
-            return None
-        return msg
+        return evt
 
     # ------------------------------------------------------- cache adoption
     def adopt_prefix(self, entries) -> int:
@@ -1049,10 +1090,6 @@ class ChainRun:
         self.registry.record_death(node, self.done_jobs)
         self.hooks("death", node=node)
 
-    def _run_job(self, job: int, kind: str = "run") -> None:
-        """Run one job, reusing whatever committed outputs survive."""
-        self._run_wave([job], kind=kind)
-
     def _run_wave(self, jobs: list[int], kind: str = "run") -> None:
         """Run a wave of dependency-ready jobs, reusing whatever
         committed outputs survive.  The wave's map tasks dispatch as one
@@ -1138,14 +1175,8 @@ class ChainRun:
                     break
                 node = candidates.pop(rr % len(candidates))
                 rr += 1
-                cmds[("replicate", *entry.key, node)] = (node, {
-                    "op": "replicate", "job": entry.job,
-                    "partition": entry.partition,
-                    "split": entry.split_index,
-                    "n_splits": entry.n_splits,
-                    "source": entry.node, "target": node,
-                    "source_chain": entry.chain,
-                })
+                cmds[("replicate", *entry.key, node)] = (
+                    node, _replicate_command(entry, node))
         return cmds
 
     def _replicate_job_output(self, job: int) -> None:
@@ -1433,6 +1464,10 @@ class ChainRun:
                    = None) -> None:
         """Dispatch a batch of commands and pump until all complete.
 
+        Each command is stamped with its task key, the pool epoch and
+        the chain id, which the worker echoes in its reply.  Every event
+        passes :meth:`_accept` — the one stale guard — before its
+        handler in :attr:`_HANDLERS` applies it.
         Completed map outputs register immediately (they are durable and
         reusable whatever happens next); reducer pieces go through
         ``on_piece`` when given (recovery overlays) or register directly;
@@ -1442,164 +1477,131 @@ class ChainRun:
         inline in single-chain mode, queued by the service router in
         service mode)."""
         self._raise_pending_death()
-        outstanding: dict[tuple, tuple[int, dict]] = {}
-        spans: dict[tuple, Any] = {}
-        dispatched_at: dict[tuple, float] = {}
+        batch = _Batch(phase, on_piece, on_freed)
         for key, (node, cmd) in cmds.items():
-            cmd = dict(cmd)
-            cmd["epoch"] = self.pool.epoch
-            cmd["chain"] = self.chain_id
+            cmd = dict(cmd, key=key, epoch=self.pool.epoch,
+                       chain=self.chain_id)
             self.pool.dispatch(node, cmd)
-            outstanding[key] = (node, cmd)
-            dispatched_at[key] = time.monotonic()
+            batch.outstanding[key] = (node, cmd)
+            batch.dispatched_at[key] = time.monotonic()
             if self.tracer.enabled:
-                spans[key] = self.tracer.span(
+                batch.spans[key] = self.tracer.span(
                     "task", f"{phase}:{':'.join(map(str, key))}",
                     tid=node, phase=phase)
         if after_send is not None:
             after_send()
-        attempts: dict[tuple, int] = {}
-        retry_at: dict[tuple, float] = {}
-        #: task key -> backup node of an in-flight speculative attempt
-        backups: dict[tuple, int] = {}
-        #: committed task walls this batch (speculation's median baseline)
-        durations: list[float] = []
-        total = len(outstanding)
+        total = len(batch.outstanding)
         last_progress = time.monotonic()
-        while outstanding:
+        while batch.outstanding:
             now = time.monotonic()
             if now - last_progress > self.config.io_timeout:
                 raise RuntimeError(
                     f"dispatch stalled in {phase}: "
-                    f"{sorted(outstanding)} outstanding")
-            for key in [k for k, t in retry_at.items() if t <= now]:
-                del retry_at[key]
-                if key in outstanding:
-                    self.pool.dispatch(outstanding[key][0],
-                                       dict(outstanding[key][1]))
+                    f"{sorted(batch.outstanding)} outstanding")
+            for key in [k for k, t in batch.retry_at.items() if t <= now]:
+                del batch.retry_at[key]
+                if key in batch.outstanding:
+                    node, cmd = batch.outstanding[key]
+                    self.pool.dispatch(node, dict(cmd))
             if self.config.speculation:
-                self._maybe_speculate(outstanding, backups, dispatched_at,
-                                      durations, total, now)
-            msg = self._next_event()
-            if msg is None:
+                self._maybe_speculate(batch, total, now)
+            evt = self._next_event()
+            if evt is None or not self._accept(evt, batch.outstanding):
                 continue
-            kind = msg[0]
-            if kind == "map-done":
-                (_, node, epoch, chain, job, task, origin, counts, pid,
-                 fetched, local) = msg
-                key = ("map", job, task)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    # a speculative race's losing attempt committing
-                    # after the winner: swallow and sweep, never register
-                    self._stale_duplicate(key, node, chain, fetched)
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                self.registry.add_map(MapEntry(job, task, node, origin,
-                                               counts))
-            elif kind == "reduce-done":
-                (_, node, epoch, chain, job, partition, s, k, n, pid,
-                 fetched, local) = msg
-                key = ("reduce", job, partition, s, k)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    self._stale_duplicate(key, node, chain, fetched)
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                entry = PieceEntry(job, partition, s, k, node, n)
-                if on_piece is not None:
-                    on_piece(entry)
-                else:
-                    self.registry.add_piece(entry)
-            elif kind == "replica-done":
-                (_, node, epoch, chain, job, partition, s, k, pid,
-                 fetched, local) = msg
-                key = ("replicate", job, partition, s, k, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                self.registry.add_replica(job, partition, s, k, node)
-            elif kind == "dropped":
-                _, node, epoch, chain, job, task = msg
-                key = ("drop", job, task)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                # the link lookup must stay behind the guard: a stale
-                # message may name a node whose link no longer exists
-                pid = self.pool.pid_of(node)
-            elif kind == "job-dropped":
-                _, node, epoch, chain, job, freed = msg
-                key = ("drop-job", job, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                pid = self.pool.pid_of(node)
-                if on_freed is not None:
-                    on_freed(freed)
-            elif kind == "reclaimed":
-                _, node, epoch, chain, anchor, freed = msg
-                key = ("reclaim", anchor, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                pid = self.pool.pid_of(node)
-                if on_freed is not None:
-                    on_freed(freed)
-            elif kind == "piece-dropped":
-                _, node, epoch, chain, job, partition, s, k, freed = msg
-                if chain == self.chain_id:
-                    self.tracer.instant("cascade", "speculation-swept",
-                                        node=node, job=job,
-                                        partition=partition, split=s,
-                                        n_splits=k, freed=freed)
-                continue
-            elif kind == "task-failed":
-                _, node, epoch, chain, op, key, err = msg
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    if (chain == self.chain_id
-                            and self._spec_losers.get(key) == node):
-                        # the losing attempt failed outright: it wrote
-                        # nothing, so there is nothing left to sweep
-                        del self._spec_losers[key]
-                    continue
-                if backups.get(key) == node:
-                    # the backup attempt failed; the original still runs —
-                    # clear the marker so the tail may speculate again
-                    del backups[key]
-                    continue
-                # re-dispatch with backoff until the fetch source's death
-                # is declared by the pump or io_timeout judges the phase
-                # stalled — never abandon a task while both are pending
-                attempts[key] = attempts.get(key, 0) + 1
-                retry_at[key] = time.monotonic() + min(
-                    0.05 * attempts[key], 0.5)
-                continue
-            elif kind == "task-error":
-                _, node, epoch, chain, op, key, tb = msg
-                if epoch != self.pool.epoch or chain != self.chain_id:
-                    continue  # cancelled work; its error is moot
-                raise RuntimeError(
-                    f"worker {node} hit a software error in {op} task "
-                    f"{key}:\n{tb}")
-            else:
-                continue
+            if not self._HANDLERS[evt.kind](self, evt, batch):
+                continue  # still outstanding: a retry or a failed backup
             last_progress = time.monotonic()
-            if kind in ("map-done", "reduce-done"):
-                durations.append(
-                    last_progress - dispatched_at.get(key, last_progress))
-                if key in backups:
+            key, node = evt.key, evt.node
+            if evt.kind in (MapDone.KIND, ReduceDone.KIND):
+                batch.durations.append(
+                    last_progress - batch.dispatched_at.get(key,
+                                                            last_progress))
+                if key in batch.backups:
                     self._resolve_speculation(
-                        key, winner=node, original=outstanding[key][0],
-                        backup=backups.pop(key))
-            if key in spans:
-                extra = {"node": node, "pid": pid}
-                if kind == "reduce-done":
+                        key, winner=node,
+                        original=batch.outstanding[key][0],
+                        backup=batch.backups.pop(key))
+            if key in batch.spans:
+                extra = {"node": node, "pid": self.pool.pid_of(node)}
+                if evt.kind == ReduceDone.KIND:
                     extra.update(split=key[3], n_splits=key[4])
-                spans[key].end(**extra)
-            del outstanding[key]
+                batch.spans[key].end(**extra)
+            del batch.outstanding[key]
+
+    def _accept(self, evt: tuple, outstanding: dict) -> bool:
+        """The stale guard: True when ``evt`` answers a command of this
+        chain that is still outstanding in the current epoch.  Anything
+        else is discarded here — before any link lookup, since a stale
+        event may name a node whose link is gone — after settling what
+        it still means for a speculative race."""
+        if evt.chain != self.chain_id:
+            return False
+        if evt.epoch == self.pool.epoch and evt.key in outstanding:
+            return True
+        self._settle_stale(evt)
+        return False
+
+    # ------------------------------------------------------- event handlers
+    # ``handler(self, evt, batch) -> bool``: apply one accepted reply;
+    # False leaves its task outstanding.
+    def _on_map_done(self, evt: MapDone, batch: _Batch) -> bool:
+        _, job, task = evt.key
+        self._count_shuffle(batch.phase, evt.fetched, evt.local)
+        self.registry.add_map(MapEntry(job, task, evt.node, evt.origin,
+                                       evt.counts))
+        return True
+
+    def _on_reduce_done(self, evt: ReduceDone, batch: _Batch) -> bool:
+        _, job, partition, s, k = evt.key
+        self._count_shuffle(batch.phase, evt.fetched, evt.local)
+        entry = PieceEntry(job, partition, s, k, evt.node, evt.n_records)
+        (batch.on_piece or self.registry.add_piece)(entry)
+        return True
+
+    def _on_replica_done(self, evt: ReplicaDone, batch: _Batch) -> bool:
+        _, job, partition, s, k, _target = evt.key
+        self._count_shuffle(batch.phase, evt.fetched, evt.local)
+        self.registry.add_replica(job, partition, s, k, evt.node)
+        return True
+
+    def _on_dropped(self, evt: Dropped, batch: _Batch) -> bool:
+        return True
+
+    def _on_freed(self, evt: JobDropped | Reclaimed, batch: _Batch) -> bool:
+        if batch.on_freed is not None:
+            batch.on_freed(evt.freed)
+        return True
+
+    def _on_task_failed(self, evt: TaskFailed, batch: _Batch) -> bool:
+        if batch.backups.get(evt.key) == evt.node:
+            # the backup attempt failed; the original still runs — clear
+            # the marker so the tail may speculate again
+            del batch.backups[evt.key]
+            return False
+        # re-dispatch with backoff until the fetch source's death is
+        # declared by the pump or io_timeout judges the phase stalled —
+        # never abandon a task while both are pending
+        attempts = batch.attempts[evt.key] = \
+            batch.attempts.get(evt.key, 0) + 1
+        batch.retry_at[evt.key] = time.monotonic() + min(0.05 * attempts,
+                                                         0.5)
+        return False
+
+    def _on_task_error(self, evt: TaskError, batch: _Batch) -> bool:
+        raise RuntimeError(
+            f"worker {evt.node} hit a software error in {evt.op} task "
+            f"{evt.key}:\n{evt.traceback}")
+
+    _HANDLERS = {
+        MapDone.KIND: _on_map_done,
+        ReduceDone.KIND: _on_reduce_done,
+        ReplicaDone.KIND: _on_replica_done,
+        Dropped.KIND: _on_dropped,
+        JobDropped.KIND: _on_freed,
+        Reclaimed.KIND: _on_freed,
+        TaskFailed.KIND: _on_task_failed,
+        TaskError.KIND: _on_task_error,
+    }
 
     def _count_shuffle(self, phase: str, fetched: int,
                        local: int = 0) -> None:
@@ -1614,9 +1616,8 @@ class ChainRun:
                 self.shuffle_bytes_local.get(phase, 0) + local)
 
     # ----------------------------------------------------------- speculation
-    def _maybe_speculate(self, outstanding: dict, backups: dict,
-                         dispatched_at: dict, durations: list,
-                         total: int, now: float) -> None:
+    def _maybe_speculate(self, batch: _Batch, total: int,
+                         now: float) -> None:
         """Launch backup attempts for tail tasks on idle healthy slots.
 
         A task earns a backup when its original sits on a suspected-slow
@@ -1629,11 +1630,12 @@ class ChainRun:
             return
         suspected = self.pool.suspected_slow() | \
             self.pool.suspected_recent
-        done = total - len(outstanding)
+        done = total - len(batch.outstanding)
+        durations = batch.durations
         median = sorted(durations)[len(durations) // 2] \
             if durations else None
-        for key, (node, cmd) in list(outstanding.items()):
-            if key in backups or key[0] not in ("map", "reduce"):
+        for key, (node, cmd) in list(batch.outstanding.items()):
+            if key in batch.backups or key[0] not in ("map", "reduce"):
                 continue
             if node in suspected:
                 threshold = self.config.speculation_min_age
@@ -1642,14 +1644,14 @@ class ChainRun:
                                 self.config.speculation_slowdown * median)
             else:
                 continue
-            age = now - dispatched_at.get(key, now)
+            age = now - batch.dispatched_at.get(key, now)
             if age < threshold:
                 continue
             backup = self._backup_candidate(node, suspected)
             if backup is None:
                 return  # no healthy idle slot anywhere: retry next tick
             self.pool.dispatch(backup, dict(cmd))
-            backups[key] = backup
+            batch.backups[key] = backup
             self.spec_attempts += 1
             self.tracer.instant("cascade", "speculative-attempt",
                                 key=[str(k) for k in key], original=node,
@@ -1689,31 +1691,40 @@ class ChainRun:
                             key=[str(k) for k in key], winner=winner,
                             loser=loser, backup_won=backup_won)
 
-    def _stale_duplicate(self, key: tuple, node: int,
-                         chain: Optional[str], fetched: int) -> bool:
-        """A commit event that missed the epoch/outstanding guard: if it
-        is the losing attempt of a resolved speculative race, account
-        its wasted work and sweep its orphan output from the loser's
-        disk (the PR-4 drop paths, epoch-tagged at current epoch)."""
-        if chain != self.chain_id or self._spec_losers.get(key) != node:
-            return False
+    def _settle_stale(self, evt: tuple) -> None:
+        """What a discarded event of this chain still means: the receipt
+        of a loser sweep is traced, and the late reply of a resolved
+        race's losing attempt settles the race — a commit's output is
+        swept from the loser's disk (epoch-tagged at the current epoch)
+        and its fetched bytes counted as waste; a failure wrote nothing."""
+        if evt.kind == PieceDropped.KIND:
+            _, job, partition, s, k = evt.key
+            self.tracer.instant("cascade", "speculation-swept",
+                                node=evt.node, job=job,
+                                partition=partition, split=s,
+                                n_splits=k, freed=evt.freed)
+            return
+        key, node = evt.key, evt.node
+        if self._spec_losers.get(key) != node:
+            return
         del self._spec_losers[key]
-        self.spec_wasted_bytes += fetched
+        if evt.kind not in (MapDone.KIND, ReduceDone.KIND):
+            return
+        self.spec_wasted_bytes += evt.fetched
         self.tracer.instant("cascade", "speculation-loser",
                             key=[str(k) for k in key], node=node,
-                            wasted=fetched)
+                            wasted=evt.fetched)
         if node in self.pool.alive:
-            if key[0] == "map":
-                self.pool.dispatch(node, {
-                    "op": "drop", "job": key[1], "task": key[2],
-                    "epoch": self.pool.epoch, "chain": self.chain_id})
+            if evt.kind == MapDone.KIND:
+                _, job, task = key
+                cmd = {"op": "drop", "job": job, "task": task}
             else:
-                self.pool.dispatch(node, {
-                    "op": "drop-piece", "job": key[1],
-                    "partition": key[2], "split": key[3],
-                    "n_splits": key[4], "epoch": self.pool.epoch,
-                    "chain": self.chain_id})
-        return True
+                _, job, partition, s, k = key
+                cmd = {"op": "drop-piece", "job": job,
+                       "partition": partition, "split": s, "n_splits": k}
+            self.pool.dispatch(node, dict(
+                cmd, key=(cmd["op"], *key[1:]), epoch=self.pool.epoch,
+                chain=self.chain_id))
 
     def _drain_spec_losers(self, deadline: float = 2.0) -> None:
         """Before the final checksum, wait briefly for resolved races'
@@ -1728,33 +1739,12 @@ class ChainRun:
             if not self._spec_losers:
                 break
             try:
-                msg = self._next_event()
+                evt = self._next_event()
             except NodeDeath as death:
                 self._handle_death(death.node)
                 break
-            if msg is None:
-                continue
-            kind = msg[0]
-            if kind == "map-done":
-                _, node, _epoch, chain, job, task = msg[:6]
-                self._stale_duplicate(("map", job, task), node, chain,
-                                      msg[9])
-            elif kind == "reduce-done":
-                _, node, _epoch, chain, job, partition, s, k = msg[:8]
-                self._stale_duplicate(("reduce", job, partition, s, k),
-                                      node, chain, msg[10])
-            elif kind == "task-failed":
-                _, node, _epoch, chain, op, key, err = msg
-                if (chain == self.chain_id
-                        and self._spec_losers.get(key) == node):
-                    del self._spec_losers[key]
-            elif kind == "piece-dropped":
-                _, node, _epoch, chain, job, partition, s, k, freed = msg
-                if chain == self.chain_id:
-                    self.tracer.instant("cascade", "speculation-swept",
-                                        node=node, job=job,
-                                        partition=partition, split=s,
-                                        n_splits=k, freed=freed)
+            if evt is not None:
+                self._accept(evt, outstanding={})  # nothing is current
 
     def _pre_replicate_suspected(self) -> None:
         """Eagerly copy pieces held by a suspected-slow node to a
@@ -1781,13 +1771,8 @@ class ChainRun:
             target = targets.get(entry.key)
             if target is None:
                 continue
-            cmds[("replicate", *entry.key, target)] = (target, {
-                "op": "replicate", "job": entry.job,
-                "partition": entry.partition,
-                "split": entry.split_index,
-                "n_splits": entry.n_splits,
-                "source": entry.node, "target": target,
-                "source_chain": entry.chain})
+            cmds[("replicate", *entry.key, target)] = (
+                target, _replicate_command(entry, target))
         if not cmds:
             return
         self.tracer.instant("cascade", "pre-replicate",
@@ -1828,144 +1813,23 @@ class ChainRun:
         return chain_checksum(self.final_output())
 
 
-class Coordinator:
-    """Drives one multi-job chain over real worker processes: a private
-    :class:`WorkerPool` plus one :class:`ChainRun` behind the classic
-    single-chain API (the multi-chain front is
-    :class:`repro.runtime.service.ChainService`)."""
-
-    def __init__(self, config: RuntimeConfig, workdir: str | Path,
-                 tracer: Optional[Tracer] = None,
-                 hooks: Optional[Hooks] = None,
-                 fault_model: Optional[FaultModel] = None,
-                 fault_seed: int = 0, fault_time_scale: float = 1.0,
-                 map_assignment: Optional[Callable[[int, int, int], int]]
-                 = None):
-        self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.faults = (LiveFaultPlan(fault_model, seed=fault_seed,
-                                     time_scale=fault_time_scale)
-                       if fault_model is not None else None)
-        self.pool = WorkerPool(config, workdir, tracer=self.tracer,
-                               faults=self.faults)
-        self.chain_run = ChainRun(config, self.pool, tracer=self.tracer,
-                                  hooks=hooks,
-                                  map_assignment=map_assignment,
-                                  fault_plan=self.faults)
-
-    # ------------------------------------------------------------ lifecycle
-    def __enter__(self) -> "Coordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def start(self) -> None:
-        self.pool.start()
-
-    def shutdown(self) -> None:
-        self.pool.shutdown()
-
-    # ---------------------------------------------------------- chain logic
-    def run_chain(self) -> RunReport:
-        """Execute the chain end to end, recovering from every death."""
-        if self.faults:
-            self.faults.arm_chain_start(time.monotonic())
-        return self.chain_run.run()
-
-    def kill_node(self, node: int) -> None:
-        self.pool.kill_node(node)
-
-    def throttle_node(self, node: int, factor: float) -> None:
-        self.pool.throttle_node(node, factor)
-
-    def suspected_slow(self) -> set[int]:
-        return self.pool.suspected_slow()
-
-    @property
-    def throttled(self) -> dict[int, float]:
-        return self.pool.throttled
-
-    def final_output(self) -> dict[int, list[Record]]:
-        return self.chain_run.final_output()
-
-    def checksum(self) -> str:
-        return self.chain_run.checksum()
-
-    # ------------------------------------------------- delegated state
-    # (kept as properties so tests and tools can keep poking the classic
-    # flat Coordinator surface)
-    @property
-    def workdir(self) -> Path:
-        return self.pool.workdir
-
-    @property
-    def registry(self) -> ClusterRegistry:
-        return self.chain_run.registry
-
-    @property
-    def alive(self) -> set[int]:
-        return self.pool.alive
-
-    @alive.setter
-    def alive(self, value: set[int]) -> None:
-        self.pool.alive = set(value)
-
-    @property
-    def epoch(self) -> int:
-        return self.pool.epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self.pool.epoch = value
-
-    @property
-    def completed_jobs(self) -> int:
-        return self.chain_run.completed_jobs
-
-    @completed_jobs.setter
-    def completed_jobs(self, value: int) -> None:
-        self.chain_run.completed_jobs = value
-
-    @property
-    def done_jobs(self) -> set[int]:
-        return self.chain_run.done_jobs
-
-    @done_jobs.setter
-    def done_jobs(self, value: set[int]) -> None:
-        self.chain_run.done_jobs = set(value)
-
-    @property
-    def deaths(self) -> list[tuple[float, int]]:
-        return self.chain_run.deaths
-
-    @property
-    def job_times(self) -> list[tuple[int, str, float]]:
-        return self.chain_run.job_times
-
-    @property
-    def reclaims(self) -> list[tuple[int, int]]:
-        return self.chain_run.reclaims
-
-    @property
-    def shuffle_bytes(self) -> dict[str, int]:
-        return self.chain_run.shuffle_bytes
-
-    @property
-    def shuffle_bytes_local(self) -> dict[str, int]:
-        return self.chain_run.shuffle_bytes_local
-
-    @property
-    def hooks(self) -> Hooks:
-        return self.chain_run.hooks
-
-    @property
-    def _links(self) -> dict[int, _Link]:
-        return self.pool._links
-
-    def _cascade_jobs(self) -> list[int]:
-        return self.chain_run._cascade_jobs()
-
-    def _run_tasks(self, cmds: dict, phase: str, **kwargs) -> None:
-        self.chain_run._run_tasks(cmds, phase, **kwargs)
+def run_chain(config: RuntimeConfig, workdir: str | Path, *,
+              tracer: Optional[Tracer] = None,
+              hooks: Optional[Hooks] = None,
+              fault_model: Optional[FaultModel] = None,
+              fault_seed: int = 0, fault_time_scale: float = 1.0,
+              map_assignment: Optional[Callable[[int, int, int], int]]
+              = None) -> RunReport:
+    """Run one chain end to end on a private :class:`WorkerPool`, reaped
+    on return (the multi-chain front is
+    :class:`repro.runtime.service.ChainService`).  ``fault_model``
+    becomes a :class:`LiveFaultPlan` armed at chain start."""
+    faults = (LiveFaultPlan(fault_model, seed=fault_seed,
+                            time_scale=fault_time_scale)
+              if fault_model is not None else None)
+    with WorkerPool(config, workdir, tracer=tracer, faults=faults) as pool:
+        run = ChainRun(config, pool, tracer=tracer, hooks=hooks,
+                       map_assignment=map_assignment, fault_plan=faults)
+        if faults:
+            faults.arm_chain_start(time.monotonic())
+        return run.run()

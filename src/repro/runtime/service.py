@@ -1,6 +1,6 @@
 """Multi-tenant chain service: many chains, one shared worker pool.
 
-The single-chain :class:`~repro.runtime.coordinator.Coordinator` forks a
+The single-chain :func:`~repro.runtime.coordinator.run_chain` forks a
 worker set, runs one chain, and tears everything down.  RCMP's setting
 is the opposite — a resident cluster absorbing heavy traffic from many
 users — so :class:`ChainService` keeps one :class:`WorkerPool` of
@@ -349,17 +349,16 @@ class ChainService:
         while not self._stop.is_set():
             self._admit_next()
             try:
-                msg = self.pool.pump(timeout=0.02)
+                evt = self.pool.pump(timeout=0.02)
             except NodeDeath as death:
                 self._on_death(death.node)
                 continue
-            if msg is None:
+            if evt is None:
                 continue
-            chain_id = msg[3] if len(msg) > 3 else None
             with self._lock:
-                job = self._running.get(chain_id)
+                job = self._running.get(evt.chain)
             if job is not None:
-                job.inbox.put(msg)
+                job.inbox.put(evt)
             # else: a straggler from a chain that already finished or
             # died mid-phase — stale by construction, drop it
 

@@ -173,7 +173,7 @@ def chain_checksum(final_output: dict[int, list[Record]]) -> str:
     """MD5 over the canonical encoding of the chain's final output.
 
     ``final_output`` maps partition -> records (as returned by
-    ``LocalCluster.final_output`` or ``Coordinator.final_output``); records
+    ``LocalCluster.final_output`` or ``ChainRun.final_output``); records
     are sorted per partition before hashing, so the checksum is independent
     of piece boundaries, split ratios, and execution order."""
     h = hashlib.md5()
@@ -530,7 +530,7 @@ class NodeStore:
 # ------------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class MapEntry:
-    """Coordinator-side record of one persisted map output."""
+    """The coordinator's record of one persisted map output."""
 
     job: int
     task_id: int
@@ -541,7 +541,7 @@ class MapEntry:
 
 @dataclass(frozen=True)
 class PieceEntry:
-    """Coordinator-side record of one stored reducer piece.
+    """The coordinator's record of one stored reducer piece.
 
     ``chain`` is the namespace the backing file lives in when it is
     *not* the owning chain's own — the cross-run cache adopts pieces in

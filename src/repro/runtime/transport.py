@@ -48,6 +48,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
+from repro.runtime.protocol import Heartbeat
 from repro.runtime.storage import filter_split_spans
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,14 +114,16 @@ class LockedConnection:
 
 def start_heartbeat(conn: LockedConnection, node: int,
                     interval: float) -> threading.Thread:
-    """Beat ``("hb", node)`` every ``interval`` seconds until the process
-    dies (daemon thread; a SIGKILL stops it with the process)."""
+    """Send a :class:`~repro.runtime.protocol.Heartbeat` every
+    ``interval`` seconds until the process dies (daemon thread; a SIGKILL
+    stops it with the process)."""
+    beat_event = Heartbeat.of(node)
 
     def beat() -> None:
         while True:
             time.sleep(interval)
             try:
-                conn.send(("hb", node))
+                conn.send(beat_event)
             except CHANNEL_DOWN:  # coordinator gone; nothing left to do
                 return
 

@@ -46,10 +46,21 @@ from repro.localexec.records import (
     reduce_udf,
 )
 from repro.runtime import shm, transport
+from repro.runtime.protocol import (
+    Dropped,
+    JobDropped,
+    MapDone,
+    PieceDropped,
+    Ready,
+    Reclaimed,
+    ReduceDone,
+    ReplicaDone,
+    TaskError,
+    TaskFailed,
+)
 from repro.runtime.storage import (
     MemoryTier,
     NodeStore,
-    encode_records,
     filter_split,
     iter_records,
 )
@@ -87,7 +98,7 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     server = transport.ShuffleServer(store, timeout=opts["server_timeout"],
                                      throttle=throttle)
     transport.start_heartbeat(evt, node, heartbeat_interval)
-    evt.send(("ready", node, server.port, os.getpid()))
+    evt.send(Ready.of(node, port=server.port, pid=os.getpid()))
     worker = _Worker(node, store, evt, seed, records_per_node, value_size,
                      opts, throttle=throttle, server_port=server.port)
     try:
@@ -275,8 +286,7 @@ class _Worker:
                                 and i[2] == cmd["job"]
                                 and i[3] == cmd["task"])
                 store.drop_map_output(cmd["job"], cmd["task"])
-                self.evt.send(("dropped", self.node, cmd["epoch"], chain,
-                               cmd["job"], cmd["task"]))
+                self._reply(Dropped, cmd)
             elif op == "drop-piece":
                 # sweep one losing speculative attempt's reduce output
                 if self._shm is not None:
@@ -285,48 +295,41 @@ class _Worker:
                                          cmd["n_splits"]))
                 freed = store.drop_piece(cmd["job"], cmd["partition"],
                                          cmd["split"], cmd["n_splits"])
-                self.evt.send(("piece-dropped", self.node, cmd["epoch"],
-                               chain, cmd["job"], cmd["partition"],
-                               cmd["split"], cmd["n_splits"], freed))
+                self._reply(PieceDropped, cmd, freed=freed)
             elif op == "drop-job":
                 self._unpublish(lambda i: i[1] == chain
                                 and i[2] == cmd["job"])
                 freed = store.drop_job(cmd["job"])
-                self.evt.send(("job-dropped", self.node, cmd["epoch"],
-                               chain, cmd["job"], freed))
+                self._reply(JobDropped, cmd, freed=freed)
             elif op == "reclaim":
-                if "map_jobs" in cmd:
-                    # set-based form: the shielded DAG cut behind the
-                    # anchor frontier (need not be an index prefix)
-                    map_jobs = set(cmd["map_jobs"])
-                    piece_jobs = set(cmd["piece_jobs"])
-                    self._unpublish(
-                        lambda i: i[1] == chain
-                        and ((i[0] == "map" and i[2] in map_jobs)
-                             or (i[0] == "piece" and i[2] in piece_jobs)))
-                    freed = store.reclaim_job_sets(map_jobs, piece_jobs)
-                else:
-                    map_upto, piece_upto = cmd["map_upto"], cmd["piece_upto"]
-                    self._unpublish(
-                        lambda i: i[1] == chain
-                        and ((i[0] == "map" and i[2] <= map_upto)
-                             or (i[0] == "piece" and i[2] <= piece_upto)))
-                    freed = store.reclaim_jobs(map_upto, piece_upto)
-                self.evt.send(("reclaimed", self.node, cmd["epoch"],
-                               chain, cmd["anchor"], freed))
+                # the shielded DAG cut behind the anchor frontier (need
+                # not be an index prefix)
+                map_jobs = set(cmd["map_jobs"])
+                piece_jobs = set(cmd["piece_jobs"])
+                self._unpublish(
+                    lambda i: i[1] == chain
+                    and ((i[0] == "map" and i[2] in map_jobs)
+                         or (i[0] == "piece" and i[2] in piece_jobs)))
+                freed = store.reclaim_job_sets(map_jobs, piece_jobs)
+                self._reply(Reclaimed, cmd, freed=freed)
             else:
                 raise ValueError(f"unknown op {op!r}")
         except transport.FetchError as exc:
-            self.evt.send(("task-failed", self.node, cmd["epoch"], chain,
-                           op, _task_key(cmd), str(exc)))
+            self._reply(TaskFailed, cmd, op=op, error=str(exc))
         except Exception:
             # a software bug, not a fetch casualty: stay alive and hand
             # the coordinator the traceback, so a deterministic error
             # surfaces as a diagnostic instead of reading as a node
             # death and cascading through recovery
-            self.evt.send(("task-error", self.node, cmd.get("epoch", -1),
-                           chain, op, _task_key(cmd),
-                           traceback.format_exc()))
+            self._reply(TaskError, cmd, op=op,
+                        traceback=traceback.format_exc())
+
+    def _reply(self, event, cmd: dict, **payload) -> None:
+        """Send ``event`` answering ``cmd``: its header echoes the
+        command's epoch, chain and task key for the coordinator's stale
+        guard."""
+        self.evt.send(event.of(self.node, cmd.get("epoch"),
+                               cmd.get("chain"), cmd.get("key"), **payload))
 
     def _store(self, chain) -> NodeStore:
         """The chain-namespaced store for one command (cached; benign if
@@ -474,9 +477,8 @@ class _Worker:
         # the throttle stretches the task *before* its commit event, so
         # a slow node's commits land at 1/factor speed, not just its slot
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("map-done", self.node, cmd["epoch"], chain, job,
-                       task_id, cmd["origin"], counts, os.getpid(),
-                       fetched, local))
+        self._reply(MapDone, cmd, origin=cmd["origin"], counts=counts,
+                    fetched=fetched, local=local)
 
     def _reduce(self, cmd: dict, chain, store: NodeStore) -> None:
         started = time.perf_counter()
@@ -547,9 +549,8 @@ class _Worker:
                           store.read_piece(job, partition, split_index,
                                            n_splits))
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("reduce-done", self.node, cmd["epoch"], chain, job,
-                       partition, split_index, n_splits, n_records,
-                       os.getpid(), fetched, local))
+        self._reply(ReduceDone, cmd, n_records=n_records, fetched=fetched,
+                    local=local)
 
     def _replicate(self, cmd: dict, chain, store: NodeStore) -> None:
         """Copy one stored piece from its primary holder to this node's
@@ -586,19 +587,5 @@ class _Worker:
         self._publish(("piece", chain, job, partition, split_index,
                        n_splits), data)
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("replica-done", self.node, cmd["epoch"], chain,
-                       job, partition, split_index, n_splits, os.getpid(),
-                       fetched, local))
+        self._reply(ReplicaDone, cmd, fetched=fetched, local=local)
 
-
-def _task_key(cmd: dict) -> Optional[tuple]:
-    op = cmd.get("op")
-    if op == "map":
-        return ("map", cmd.get("job"), cmd.get("task"))
-    if op == "reduce":
-        return ("reduce", cmd.get("job"), cmd.get("partition"),
-                cmd.get("split"), cmd.get("n_splits"))
-    if op == "replicate":
-        return ("replicate", cmd.get("job"), cmd.get("partition"),
-                cmd.get("split"), cmd.get("n_splits"), cmd.get("target"))
-    return None

@@ -13,6 +13,7 @@ record, a duplicated key, a stale Fig. 5 map output — changes the final
 checksum.
 """
 
+import contextlib
 import functools
 import os
 import time
@@ -22,7 +23,13 @@ import pytest
 from repro.faults import FaultModel
 from repro.localexec import LocalCluster, LocalJobConfig
 from repro.obs import RecordingTracer
-from repro.runtime.coordinator import Coordinator, RuntimeConfig
+from repro.runtime.coordinator import (
+    ChainRun,
+    RuntimeConfig,
+    WorkerPool,
+    run_chain,
+)
+from repro.runtime.faults import LiveFaultPlan
 from repro.runtime.storage import (
     ClusterRegistry,
     MapEntry,
@@ -55,12 +62,12 @@ class KillAt:
         self.event = event
         self.job = job
         self.victims = list(victims)
-        self.coord = None
+        self.run = None
 
     def __call__(self, event, **info):
         if event == self.event and info.get("job") == self.job:
             while self.victims:
-                self.coord.kill_node(self.victims.pop(0))
+                self.run.pool.kill_node(self.victims.pop(0))
 
 
 class KillPlan:
@@ -69,7 +76,7 @@ class KillPlan:
 
     def __init__(self, *triggers: tuple[str, int, int]):
         self.triggers = list(triggers)
-        self.coord = None
+        self.run = None
 
     @property
     def victims(self):
@@ -80,7 +87,7 @@ class KillPlan:
             ev, job, victim = trigger
             if event == ev and info.get("job") == job:
                 self.triggers.remove(trigger)
-                self.coord.kill_node(victim)
+                self.run.pool.kill_node(victim)
 
 
 def run_process_chain(tmp_path, chain=CHAIN, n_nodes=4, hooks=None,
@@ -98,11 +105,31 @@ def run_process_chain(tmp_path, chain=CHAIN, n_nodes=4, hooks=None,
                       "shared_memory")
                      if k in kwargs}
     config = RuntimeConfig(n_nodes=n_nodes, chain=chain, **config_kwargs)
-    with Coordinator(config, tmp_path / "cluster", tracer=tracer,
-                     hooks=hooks, **kwargs) as coord:
-        if hooks is not None and hasattr(hooks, "coord"):
-            hooks.coord = coord
-        return coord.run_chain()
+    if not hasattr(hooks, "run"):
+        return run_chain(config, tmp_path / "cluster", tracer=tracer,
+                         hooks=hooks, **kwargs)
+    with open_chain(tmp_path, config, tracer=tracer, hooks=hooks,
+                    **kwargs) as run:
+        return run.run()
+
+
+@contextlib.contextmanager
+def open_chain(tmp_path, config, tracer=None, hooks=None,
+               fault_model=None, map_assignment=None):
+    """What ``run_chain`` builds — a private pool and one ChainRun, its
+    fault plan armed — kept open so a test can inspect the registry and
+    the disks after ``run()``.  A hook with a ``run`` slot receives the
+    ChainRun (its kills go through ``run.pool``)."""
+    faults = LiveFaultPlan(fault_model) if fault_model is not None else None
+    with WorkerPool(config, tmp_path / "cluster", tracer=tracer,
+                    faults=faults) as pool:
+        run = ChainRun(config, pool, tracer=tracer, hooks=hooks,
+                       map_assignment=map_assignment, fault_plan=faults)
+        if hasattr(hooks, "run"):
+            hooks.run = run
+        if faults:
+            faults.arm_chain_start(time.monotonic())
+        yield run
 
 
 def spans(tracer, cat=None, prefix=""):
@@ -116,27 +143,28 @@ def instants(tracer, name):
             if e["ph"] == "i" and e["name"] == name]
 
 
-def on_disk_orphans(coord, jobs):
+def on_disk_orphans(run, jobs):
     """Files of ``jobs`` on *surviving* nodes' disks that the registry
     does not account for (every committed file must be some entry's
     primary copy or a registered replica)."""
     orphans = []
-    reg = coord.registry
-    for node in sorted(coord.alive):
-        store = NodeStore(coord.workdir, node)
+    reg = run.registry
+    workdir = run.pool.workdir
+    for node in sorted(run.pool.alive):
+        store = NodeStore(workdir, node)
         for task_dir in sorted(store.dir.glob("map/job*/task*")):
             job = int(task_dir.parent.name[3:])
             task = int(task_dir.name[4:])
             entry = reg.map_outputs.get((job, task))
             if job in jobs and (entry is None or entry.node != node):
-                orphans.append(str(task_dir.relative_to(coord.workdir)))
+                orphans.append(str(task_dir.relative_to(workdir)))
         for path in sorted(store.dir.glob("reduce/job*/part*/*.bin")):
             job = int(path.parent.parent.name[3:])
             partition = int(path.parent.name[4:])
             split, n_splits = map(int, path.stem[1:].split("of"))
             if job in jobs and node not in reg.holders(job, partition,
                                                        split, n_splits):
-                orphans.append(str(path.relative_to(coord.workdir)))
+                orphans.append(str(path.relative_to(workdir)))
     return orphans
 
 
@@ -204,15 +232,15 @@ def test_cascade_jobs_skips_stale_upstream_damage(tmp_path):
     """Damage filed for a job upstream of an intact one is outside the
     cascade: it must not drive the run loop (regression — run_chain spun
     forever recovering nothing when damaged_jobs() held only such jobs)."""
-    coord = Coordinator(RuntimeConfig(n_nodes=4, chain=CHAIN),
-                        tmp_path / "cluster")
-    coord.completed_jobs = 3
-    coord.registry.damage = {1: {0: [(0, 1)]}, 2: {1: [(0, 2)]}}
-    assert coord.registry.damaged_jobs() == [1, 2]
-    assert coord._cascade_jobs() == []  # job 3 intact: nothing to do
+    config = RuntimeConfig(n_nodes=4, chain=CHAIN)
+    run = ChainRun(config, WorkerPool(config, tmp_path / "cluster"))
+    run.done_jobs = {1, 2, 3}
+    run.registry.damage = {1: {0: [(0, 1)]}, 2: {1: [(0, 2)]}}
+    assert run.registry.damaged_jobs() == [1, 2]
+    assert run._cascade_jobs() == []  # job 3 intact: nothing to do
     # a later death damaging the sink makes them cascade-relevant again
-    coord.registry.damage[3] = {0: [(0, 1)]}
-    assert coord._cascade_jobs() == [1, 2, 3]
+    run.registry.damage[3] = {0: [(0, 1)]}
+    assert run._cascade_jobs() == [1, 2, 3]
 
 
 def test_registry_promotes_replica_instead_of_filing_damage():
@@ -354,11 +382,11 @@ def test_stale_upstream_damage_does_not_hang(tmp_path):
     an earlier death (a lost job-1 piece whose consumer job is intact)
     must not wedge run_chain once the cascade no longer needs them."""
     class FileStaleDamage:
-        coord = None
+        run = None
 
         def __call__(self, event, **info):
             if event == "job-commit" and info.get("job") == 2:
-                reg = self.coord.registry
+                reg = self.run.registry
                 lost = reg.pieces[1][0].pop(0)
                 reg.damage.setdefault(1, {}).setdefault(0, []).append(
                     lost.signature)
@@ -402,10 +430,10 @@ def test_startup_death_cleans_up_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(coord_mod, "worker_main", flaky_main)
     before = len(multiprocessing.active_children())
-    coord = Coordinator(RuntimeConfig(n_nodes=4, chain=CHAIN),
-                        tmp_path / "cluster")
+    pool = WorkerPool(RuntimeConfig(n_nodes=4, chain=CHAIN),
+                      tmp_path / "cluster")
     with pytest.raises(RuntimeError, match="died during startup"):
-        coord.start()
+        pool.start()
     assert len(multiprocessing.active_children()) == before
 
 
@@ -450,10 +478,9 @@ def test_fig5_guard_on_real_processes(tmp_path):
     def assign(job, task, node):
         return 3 if (job, task) == (2, 0) else node
 
-    with Coordinator(config, tmp_path / "cluster", tracer=tracer,
-                     hooks=hooks, map_assignment=assign) as coord:
-        hooks.coord = coord
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, tracer=tracer, hooks=hooks,
+                    map_assignment=assign) as run:
+        report = run.run()
     assert report.checksum == reference_checksum(CHAIN)
     dropped = instants(tracer, "invalidate-map")
     assert any(e["args"]["job"] == 2 and e["args"]["task"] == 0
@@ -592,15 +619,14 @@ def test_hybrid_death_at_anchor_commit_recovers(tmp_path):
     hooks = KillAt("replicate-dispatch", job=2, victims=[1])
     config = RuntimeConfig(n_nodes=4, chain=chain, strategy="hybrid",
                            hybrid_interval=2)
-    with Coordinator(config, tmp_path / "cluster", hooks=hooks) as coord:
-        hooks.coord = coord
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, hooks=hooks) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(chain)
         assert [n for _, n in report.deaths] == [1]
-        assert coord.registry.replicated_jobs == {2: 2}
-        for plist in coord.registry.pieces[2].values():
+        assert run.registry.replicated_jobs == {2: 2}
+        for plist in run.registry.pieces[2].values():
             for entry in plist:
-                assert len(coord.registry.holders(*entry.key)) >= 2
+                assert len(run.registry.holders(*entry.key)) >= 2
 
 
 @pytest.mark.slow
@@ -612,15 +638,14 @@ def test_kill_mid_replica_write_leaves_no_torn_replica(tmp_path):
                            records_per_block=16, split_ratio=2, seed=0)
     hooks = KillAt("replicate-dispatch", job=1, victims=[2])
     config = RuntimeConfig(n_nodes=4, chain=chain, strategy="repl2")
-    with Coordinator(config, tmp_path / "cluster", hooks=hooks) as coord:
-        hooks.coord = coord
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, hooks=hooks) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(chain)
-        for node in coord.alive:
-            assert not list(NodeStore(coord.workdir, node)
+        for node in run.pool.alive:
+            assert not list(NodeStore(run.pool.workdir, node)
                             .dir.rglob("*.tmp"))
-        for key, holders in coord.registry.replicas.items():
-            datas = {NodeStore(coord.workdir, n).read_piece(*key)
+        for key, holders in run.registry.replicas.items():
+            datas = {NodeStore(run.pool.workdir, n).read_piece(*key)
                      for n in holders}
             assert len(holders) >= 2 and len(datas) == 1
 
@@ -636,9 +661,8 @@ def test_hybrid_reclaim_frees_files_behind_the_anchor(tmp_path):
     hooks = KillAt("job-commit", job=4, victims=[1])
     config = RuntimeConfig(n_nodes=4, chain=chain, strategy="hybrid",
                            hybrid_interval=2, hybrid_reclaim=True)
-    with Coordinator(config, tmp_path / "cluster", hooks=hooks) as coord:
-        hooks.coord = coord
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, hooks=hooks) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(chain)
         # anchors at jobs 2 and 4 each ran a reclamation pass
         assert [a for a, _ in report.reclaims] == [2, 4]
@@ -647,7 +671,8 @@ def test_hybrid_reclaim_frees_files_behind_the_anchor(tmp_path):
         # post-anchor death never recomputed anything behind the anchor
         assert not any(j < 4 for j, k, _ in report.job_times
                        if k == "recompute")
-        stores = [NodeStore(coord.workdir, n) for n in sorted(coord.alive)]
+        stores = [NodeStore(run.pool.workdir, n)
+                  for n in sorted(run.pool.alive)]
         # behind the last anchor: gone from every surviving disk
         for store in stores:
             for job in (1, 2, 3):
@@ -667,13 +692,12 @@ def test_optimistic_rerun_leaves_no_orphan_files(tmp_path):
     files linger as orphans on nodes the rerun no longer uses."""
     hooks = KillAt("job-commit", job=2, victims=[1])
     config = RuntimeConfig(n_nodes=4, chain=CHAIN, strategy="optimistic")
-    with Coordinator(config, tmp_path / "cluster", hooks=hooks) as coord:
-        hooks.coord = coord
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, hooks=hooks) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(CHAIN)
         assert [(j, k) for j, k, _ in report.job_times] == \
             [(1, "run"), (2, "run"), (1, "rerun"), (2, "rerun"), (3, "run")]
-        assert on_disk_orphans(coord, jobs={1, 2}) == []
+        assert on_disk_orphans(run, jobs={1, 2}) == []
 
 
 @pytest.mark.slow
@@ -683,14 +707,14 @@ def test_repl2_simultaneous_double_copy_loss_is_irrecoverable(tmp_path):
     (Replica placement varies run to run, so the victims are the actual
     holder set of one committed piece, read at kill time.)"""
     class KillAllHolders:
-        coord = None
+        run = None
 
         def __call__(self, event, **info):
             if event == "job-commit" and info.get("job") == 2:
-                reg = self.coord.registry
+                reg = self.run.registry
                 entry = reg.pieces[2][0][0]
                 for node in sorted(reg.holders(*entry.key)):
-                    self.coord.kill_node(node)
+                    self.run.pool.kill_node(node)
 
     with pytest.raises(RuntimeError, match="irrecoverable"):
         run_process_chain(tmp_path, hooks=KillAllHolders(),
@@ -768,7 +792,7 @@ def test_four_nodes_beat_one_node_wall_clock(tmp_path):
 
 @pytest.mark.slow
 def test_workers_survive_many_sequential_chains(tmp_path):
-    """Back-to-back chains in fresh coordinators do not leak processes."""
+    """Back-to-back chains on fresh pools do not leak processes."""
     import multiprocessing
 
     before = len(multiprocessing.active_children())

@@ -14,9 +14,7 @@ from repro.runtime.recovery import (
     STRIDE,
     JobGraph,
     adoptable_closure,
-    adoptable_prefix,
     cascade_jobs,
-    cascade_start,
     consumer_invalidations,
     effective_split_ratio,
     hybrid_reclaimable,
@@ -89,25 +87,34 @@ def test_effective_split_ratio_auto_is_survivors_minus_one():
     assert effective_split_ratio(None, 1) == 1  # never below one piece
 
 
+def _linear_cascade(next_job, damaged, intact_anchors=()):
+    """The cascade on a linear chain whose jobs before ``next_job`` are
+    done (its first job is where recomputation starts)."""
+    return cascade_jobs(JobGraph.linear(next_job),
+                        done_jobs=range(1, next_job), damaged_jobs=damaged,
+                        intact_anchors=intact_anchors)
+
+
 def test_cascade_walks_contiguous_damage_only():
-    assert cascade_start(4, []) == 4
-    assert cascade_start(4, [3]) == 3
-    assert cascade_start(4, [2, 3]) == 2
+    assert _linear_cascade(4, []) == []
+    assert _linear_cascade(4, [3]) == [3]
+    assert _linear_cascade(4, [2, 3]) == [2, 3]
     # job 1 damaged but job 2 intact: the cascade does not reach job 1
-    assert cascade_start(4, [1, 3]) == 3
-    assert cascade_start(1, []) == 1
+    assert _linear_cascade(4, [1, 3]) == [3]
+    assert _linear_cascade(1, []) == []
 
 
 def test_cascade_bounded_below_by_intact_anchor():
     # an intact hybrid anchor (§IV-C) floors the walk: damage at or
     # behind it is served by the anchor's replicas, not recomputation
-    assert cascade_start(6, [2, 4, 5], intact_anchors=[3]) == 4
-    assert cascade_start(4, [1, 3], intact_anchors=[2]) == 3
+    assert _linear_cascade(6, [2, 4, 5], intact_anchors=[3]) == [4, 5]
+    assert _linear_cascade(4, [1, 3], intact_anchors=[2]) == [3]
     # the floor is the *last* intact anchor
-    assert cascade_start(8, [1, 3, 5, 6, 7], intact_anchors=[2, 4]) == 5
+    assert _linear_cascade(8, [1, 3, 5, 6, 7],
+                           intact_anchors=[2, 4]) == [5, 6, 7]
     # an anchor above the damage run changes nothing
-    assert cascade_start(4, [2, 3], intact_anchors=[]) == 2
-    assert cascade_start(6, [5], intact_anchors=[2]) == 5
+    assert _linear_cascade(4, [2, 3], intact_anchors=[]) == [2, 3]
+    assert _linear_cascade(6, [5], intact_anchors=[2]) == [5]
 
 
 def test_consumer_invalidations_by_origin_and_id_range():
@@ -201,7 +208,6 @@ def test_adoptable_closure_is_parent_closed_not_contiguous():
     assert adoptable_closure({1, 2, 3, 4}, DIAMOND) == {1, 2, 3, 4}
     # chain view: the closure is exactly the longest contiguous prefix
     assert adoptable_closure({1, 2, 4}, JobGraph.linear(5)) == {1, 2}
-    assert adoptable_prefix({1, 2, 4}) == 2
 
 
 def test_hybrid_reclaimable_matches_linear_bounds():

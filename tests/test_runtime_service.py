@@ -24,12 +24,7 @@ import time
 import pytest
 
 from repro.localexec import LocalCluster, LocalJobConfig
-from repro.runtime.coordinator import (
-    Coordinator,
-    RuntimeConfig,
-    WorkerPool,
-    _Link,
-)
+from repro.runtime.coordinator import RuntimeConfig, WorkerPool, _Link
 from repro.runtime.service import (
     DONE,
     ChainService,
@@ -56,9 +51,9 @@ def test_shutdown_is_idempotent(tmp_path):
     then again from the context manager), re-walking dead links."""
     config = RuntimeConfig(n_nodes=2, chain=TINY)
     before = len(multiprocessing.active_children())
-    with Coordinator(config, tmp_path / "c") as coord:
-        coord.shutdown()
-        coord.shutdown()  # second call must be a clean no-op
+    with WorkerPool(config, tmp_path / "c") as pool:
+        pool.shutdown()
+        pool.shutdown()  # second call must be a clean no-op
     # the context manager's exit was call number three
     assert len(multiprocessing.active_children()) == before
 
@@ -75,11 +70,11 @@ def test_failed_start_reaps_workers_and_allows_shutdown(tmp_path,
     monkeypatch.setattr(coord_mod, "worker_main", dies_instantly)
     before = len(multiprocessing.active_children())
     config = RuntimeConfig(n_nodes=2, chain=TINY)
-    coord = Coordinator(config, tmp_path / "c")
+    pool = WorkerPool(config, tmp_path / "c")
     with pytest.raises(RuntimeError, match="died during startup"):
-        coord.start()
+        pool.start()
     assert len(multiprocessing.active_children()) == before
-    coord.shutdown()  # idempotent after the failure path's cleanup
+    pool.shutdown()  # idempotent after the failure path's cleanup
 
 
 class _SlowReapProc:
@@ -151,10 +146,10 @@ def test_startup_timeout_is_enforced(tmp_path, monkeypatch):
     monkeypatch.setattr(coord_mod, "worker_main", never_ready)
     config = RuntimeConfig(n_nodes=2, chain=TINY, startup_timeout=0.4)
     before = len(multiprocessing.active_children())
-    coord = Coordinator(config, tmp_path / "c")
+    pool = WorkerPool(config, tmp_path / "c")
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="never reported ready"):
-        coord.start()
+        pool.start()
     assert time.monotonic() - t0 < 10.0  # deadline + reaping, not 30 s
     assert len(multiprocessing.active_children()) == before
 

@@ -20,8 +20,14 @@ import pytest
 
 from repro.localexec import LocalJobConfig
 from repro.localexec.records import generate_records, split_of
-from repro.runtime import transport
-from repro.runtime.coordinator import Coordinator, RuntimeConfig, _Link
+from repro.obs import RecordingTracer
+from repro.runtime import protocol, transport
+from repro.runtime.coordinator import (
+    ChainRun,
+    RuntimeConfig,
+    WorkerPool,
+    _Link,
+)
 from repro.runtime.storage import (
     NodeStore,
     decode_records,
@@ -233,52 +239,93 @@ class _FakeProc:
         return True
 
 
-def _fake_linked_coordinator(tmp_path, config=None):
-    """A coordinator wired to an in-test pipe pair instead of a forked
-    worker, so dispatch-loop behaviour is testable deterministically."""
+def _fake_linked_run(tmp_path, config=None, tracer=None):
+    """A pool wired to an in-test pipe pair instead of a forked worker,
+    and one chain over it, so dispatch-loop behaviour is testable
+    deterministically."""
     config = config or RuntimeConfig(n_nodes=1, chain=CHAIN)
-    coord = Coordinator(config, tmp_path / "cluster")
+    pool = WorkerPool(config, tmp_path / "cluster")
     cmd_recv, cmd_send = multiprocessing.Pipe(duplex=False)
     evt_recv, evt_send = multiprocessing.Pipe(duplex=False)
-    coord._links[0] = _Link(0, _FakeProc(), cmd_send, evt_recv, pid=4242,
-                            port=1, last_seen=time.monotonic())
-    coord.alive = {0}
-    return coord, cmd_recv, evt_send
+    pool._links[0] = _Link(0, _FakeProc(), cmd_send, evt_recv, pid=4242,
+                           port=1, last_seen=time.monotonic())
+    pool.alive = {0}
+    return ChainRun(config, pool, tracer=tracer), cmd_recv, evt_send
 
 
-def test_stale_message_from_unknown_link_is_skipped(tmp_path):
-    """Regression: a stale-epoch dropped/job-dropped/reclaimed message
-    naming a node whose link is gone must be discarded by the epoch
-    guard, not KeyError on the link lookup."""
-    coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path)
-    coord.epoch = 3
-    for stale in (("dropped", 9, 2, None, 1, 0),
-                  ("job-dropped", 9, 2, None, 1, 128),
-                  ("reclaimed", 9, 2, None, 1, 128)):
-        evt_send.send(stale)
-    evt_send.send(("dropped", 0, 3, None, 1, 0))  # the real completion
-    coord._run_tasks({("drop", 1, 0): (0, {"op": "drop", "job": 1,
-                                           "task": 0})}, phase="test")
+#: the one outstanding task of the stale-guard tests, and its command
+DROP_KEY = ("drop", 1, 0)
+DROP_CMD = {"op": "drop", "job": 1, "task": 0}
+
+#: event kind -> (event class, kind-specific payload)
+STALE_EVENTS = {
+    "map-done": (protocol.MapDone,
+                 dict(origin=None, counts={0: 1}, fetched=64, local=0)),
+    "reduce-done": (protocol.ReduceDone,
+                    dict(n_records=4, fetched=64, local=0)),
+    "replica-done": (protocol.ReplicaDone, dict(fetched=64, local=0)),
+    "dropped": (protocol.Dropped, {}),
+    "job-dropped": (protocol.JobDropped, dict(freed=128)),
+    "reclaimed": (protocol.Reclaimed, dict(freed=128)),
+    "task-failed": (protocol.TaskFailed, dict(op="drop", error="gone")),
+    "task-error": (protocol.TaskError, dict(op="drop", traceback="tb")),
+}
+
+#: stale form -> the header that makes an event stale at pool epoch 3
+STALE_FORMS = {
+    "stale-epoch": dict(epoch=2, key=DROP_KEY),
+    "foreign-chain": dict(epoch=3, chain="c9999", key=DROP_KEY),
+    "not-outstanding": dict(epoch=3, key=("drop", 1, 7)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(STALE_FORMS))
+@pytest.mark.parametrize("kind", sorted(STALE_EVENTS))
+def test_stale_message_from_unknown_link_is_skipped(tmp_path, kind, form):
+    """Regression: a stale reply of any kind — stale epoch, another
+    chain's, or for a task no longer outstanding — naming a node whose
+    link is gone must be discarded by the one stale guard, not KeyError
+    on the link lookup (tracing on, so an accepted event would look its
+    pid up) or complete the outstanding task in its place."""
+    run, cmd_recv, evt_send = _fake_linked_run(tmp_path,
+                                               tracer=RecordingTracer())
+    run.pool.epoch = 3
+    accepted = []
+    guard = run._accept
+
+    def spy(evt, outstanding):
+        if guard(evt, outstanding):
+            accepted.append(evt)
+            return True
+        return False
+
+    run._accept = spy
+    event, payload = STALE_EVENTS[kind]
+    evt_send.send(event.of(9, **STALE_FORMS[form], **payload))
+    real = protocol.Dropped.of(0, epoch=3, key=DROP_KEY)
+    evt_send.send(real)
+    run._run_tasks({DROP_KEY: (0, DROP_CMD)}, phase="test")
+    assert accepted == [real]
     # the command pipe saw the ports broadcast followed by the drop
     ops = [cmd_recv.recv()["op"] for _ in range(2)]
     assert ops == ["ports", "drop"]
 
 
 def test_ports_broadcast_once_per_epoch(tmp_path):
-    coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path)
+    run, cmd_recv, evt_send = _fake_linked_run(tmp_path)
     for task in (0, 1):
-        evt_send.send(("dropped", 0, 0, None, 1, task))
-        coord._run_tasks({("drop", 1, task): (0, {"op": "drop", "job": 1,
-                                                  "task": task})},
-                         phase="test")
+        evt_send.send(protocol.Dropped.of(0, epoch=0, key=("drop", 1, task)))
+        run._run_tasks({("drop", 1, task): (0, {"op": "drop", "job": 1,
+                                                "task": task})},
+                       phase="test")
     cmds = [cmd_recv.recv() for _ in range(3)]
     assert [c["op"] for c in cmds] == ["ports", "drop", "drop"]
     assert cmds[0]["ports"] == {0: 1}
     # a death bumps the epoch: the next dispatch re-broadcasts
-    coord.epoch += 1
-    evt_send.send(("dropped", 0, 1, None, 1, 2))
-    coord._run_tasks({("drop", 1, 2): (0, {"op": "drop", "job": 1,
-                                           "task": 2})}, phase="test")
+    run.pool.epoch += 1
+    evt_send.send(protocol.Dropped.of(0, epoch=1, key=("drop", 1, 2)))
+    run._run_tasks({("drop", 1, 2): (0, {"op": "drop", "job": 1,
+                                         "task": 2})}, phase="test")
     assert [cmd_recv.recv()["op"] for _ in range(2)] == ["ports", "drop"]
 
 

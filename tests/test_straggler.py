@@ -25,7 +25,12 @@ from repro.faults import FaultInjector, FaultModel
 from repro.faults.detector import ProgressRateTracker
 from repro.localexec import LocalJobConfig
 from repro.obs import RecordingTracer
-from repro.runtime.coordinator import Coordinator, RunReport, RuntimeConfig
+from repro.runtime.coordinator import (
+    ChainRun,
+    RunReport,
+    RuntimeConfig,
+    WorkerPool,
+)
 from repro.runtime.faults import LiveFaultPlan
 from repro.runtime.recovery import pre_replication_targets
 from repro.runtime.service import DONE, ChainService
@@ -35,6 +40,7 @@ from repro.workloads.chain import build_chain
 from tests.test_runtime_process import (
     instants,
     on_disk_orphans,
+    open_chain,
     reference_checksum,
     run_process_chain,
 )
@@ -398,16 +404,16 @@ def test_first_commit_wins_and_losers_are_swept(tmp_path):
     tracer = RecordingTracer()
     config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
                            speculation=True, speculation_min_age=0.02)
-    with Coordinator(config, tmp_path / "cluster", tracer=tracer,
-                     fault_model=FaultModel.parse("slow@1:10")) as coord:
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, tracer=tracer,
+                    fault_model=FaultModel.parse("slow@1:10")) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(chain, 4)
         assert report.speculation["wins"] > 0
         jobs = set(range(1, chain.n_jobs + 1))
         deadline = time.monotonic() + 5.0
-        while on_disk_orphans(coord, jobs) and time.monotonic() < deadline:
+        while on_disk_orphans(run, jobs) and time.monotonic() < deadline:
             time.sleep(0.05)  # loser drops are applied asynchronously
-        assert on_disk_orphans(coord, jobs) == []
+        assert on_disk_orphans(run, jobs) == []
     winners = {ev["args"]["winner"]
                for ev in instants(tracer, "speculative-result")}
     assert winners  # at least one race resolved
@@ -445,13 +451,13 @@ def test_pre_replication_leaves_no_sole_copy_on_the_straggler(tmp_path):
     tracer = RecordingTracer()
     config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
                            pre_replicate=True, suspect_window=2.0)
-    with Coordinator(config, tmp_path / "cluster", tracer=tracer,
-                     fault_model=FaultModel.parse("slow@1:10")) as coord:
-        report = coord.run_chain()
+    with open_chain(tmp_path, config, tracer=tracer,
+                    fault_model=FaultModel.parse("slow@1:10")) as run:
+        report = run.run()
         assert report.checksum == reference_checksum(chain, 4)
         assert report.deaths == []
         assert report.speculation["pre_replicated"] > 0
-        registry = coord.registry
+        registry = run.registry
         straggler_pieces = [
             entry for per_part in registry.pieces.values()
             for entries in per_part.values() for entry in entries
@@ -487,8 +493,7 @@ def test_speculation_without_idle_capacity_warns_and_noops(tmp_path):
     warning and retries on a later tick."""
     config = RuntimeConfig(n_nodes=2, chain=SMALL, task_slots=1,
                            speculation=True)
-    coord = Coordinator(config, tmp_path / "cluster")  # never started
-    run = coord.chain_run
+    run = ChainRun(config, WorkerPool(config, tmp_path / "cluster"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run._backup_candidate(original=1, suspected={0, 1}) is None
